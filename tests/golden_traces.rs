@@ -341,3 +341,164 @@ fn hierarchical_board_trace_replays_exactly() {
         assert_eq!(parsed, trace, "{name}: parsed trace differs from replay");
     }
 }
+
+/// Lower-case hex, 32 bytes per line: a reviewable text form of a
+/// binary wire fixture.
+fn hex_lines(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    for line in bytes.chunks(32) {
+        for byte in line {
+            out.push_str(&format!("{byte:02x}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// Pins one wire message's compact-JSON and binary-frame bytes
+/// (`wire_{name}.json`, `wire_{name}.frame.hex`), and checks that the
+/// stored bytes decode and re-encode to themselves through both codecs.
+fn pin_wire<T: serde::Serialize + serde::Deserialize>(
+    corpus: &GoldenCorpus,
+    name: &str,
+    value: &T,
+    mismatches: &mut Vec<String>,
+) {
+    use abbd::server::codec;
+    let json_name = format!("wire_{name}.json");
+    let frame_name = format!("wire_{name}.frame.hex");
+    let json = serde_json::to_string(value).expect("encodes");
+    let frame = codec::to_frame(value);
+    mismatches.extend(corpus.conform(&json_name, &format!("{json}\n")));
+    mismatches.extend(corpus.conform(&frame_name, &hex_lines(&frame)));
+    if corpus.regenerating() {
+        return;
+    }
+    let stored_json = std::fs::read_to_string(corpus.path(&json_name)).unwrap();
+    let stored_json = stored_json.trim_end_matches('\n');
+    let parsed: T = serde_json::from_str(stored_json).expect("stored JSON decodes");
+    assert_eq!(
+        serde_json::to_string(&parsed).unwrap(),
+        stored_json,
+        "{json_name}: JSON does not re-encode to itself"
+    );
+    let stored_frame = unhex(&std::fs::read_to_string(corpus.path(&frame_name)).unwrap());
+    let parsed: T = codec::from_frame(&stored_frame).expect("stored frame decodes");
+    assert_eq!(
+        codec::to_frame(&parsed),
+        stored_frame,
+        "{frame_name}: frame does not re-encode to itself"
+    );
+}
+
+/// Wire-byte fixtures: the exact compact-JSON and binary-frame bytes of
+/// the d1 first-round `SessionRequest` and its `SessionReport`, of a
+/// streaming binary `diagnose_batch` request and reply (served over
+/// loopback), and of the fitted regulator `Network` and the regulator
+/// `Circuit` (both carry `HashMap`s, whose pair order the encoders must
+/// keep stable). Any change to either codec's bytes shows up here as a
+/// reviewable diff.
+#[test]
+fn wire_fixtures_are_byte_stable() {
+    use abbd::core::{Observation, SessionRequest};
+    use abbd::server::{codec, BatchEntry, Client, ModelRegistry, Server, ServerConfig};
+
+    let corpus = corpus();
+    let engine = engine();
+    let compiled = Arc::clone(engine.compiled());
+    let cases = case_studies();
+    let d1 = &cases[0];
+    let mut mismatches: Vec<String> = Vec::new();
+
+    // The d1 first decision round: controls plus the first (failing)
+    // measurement, ranked by depth-2 lookahead under the reference
+    // prices, with a deduction override and one tester timing.
+    let mut observation = Observation::new();
+    for (name, state) in d1.controls {
+        observation.set(name, state);
+    }
+    let (first, state) = d1.observables[0];
+    observation.set(first, state);
+    observation.mark_failing(first);
+    let mut request = SessionRequest::new(observation);
+    request.strategy = Strategy::Lookahead { depth: 2 };
+    request.cost = reference_cost_model();
+    request.deduction = Some(*compiled.policy());
+    request.timings = vec![(first.to_string(), 0.25)];
+    let report = compiled.serve(&request).expect("d1 round serves");
+    pin_wire(&corpus, "d1_request", &request, &mut mismatches);
+    pin_wire(&corpus, "d1_report", &report, &mut mismatches);
+
+    pin_wire(
+        &corpus,
+        "regulator_network",
+        compiled.model().network(),
+        &mut mismatches,
+    );
+    pin_wire(
+        &corpus,
+        "regulator_circuit",
+        &regulator::rig().circuit,
+        &mut mismatches,
+    );
+
+    // A streaming binary batch: the header frame, then one observation
+    // frame per row — every case study, a duplicate row and a row naming
+    // an unknown variable (an error entry).
+    let mut rows: Vec<Observation> = cases.iter().map(|c| c.observation()).collect();
+    rows.push(cases[0].observation());
+    let mut unknown = Observation::new();
+    unknown.set("no_such_variable", 0);
+    rows.push(unknown);
+    let mut body = Vec::new();
+    codec::frame_into(
+        &serde::Value::Obj(vec![("deduction".to_string(), serde::Value::Null)]),
+        &mut body,
+    );
+    for row in &rows {
+        codec::frame_into(row, &mut body);
+    }
+    mismatches.extend(corpus.conform("wire_batch_request.frame.hex", &hex_lines(&body)));
+
+    let registry = ModelRegistry::new()
+        .insert("regulator", Arc::clone(&compiled))
+        .freeze();
+    let server = Server::start(
+        registry,
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let (status, reply) = client
+        .post_binary("/v1/models/regulator/diagnose_batch", &body)
+        .expect("batch posts");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    server.shutdown();
+    mismatches.extend(corpus.conform("wire_batch_reply.frame.hex", &hex_lines(&reply)));
+    let mut pos = 0;
+    let mut entries = Vec::new();
+    while pos < reply.len() {
+        let entry: BatchEntry = codec::decode_frame(&reply, &mut pos).expect("entry decodes");
+        entries.push(entry);
+    }
+    assert_eq!(entries.len(), rows.len(), "one entry per row");
+    assert!(entries.last().is_some_and(|e| e.error.is_some()));
+
+    assert!(
+        mismatches.is_empty(),
+        "wire fixtures diverged:\n  {}\nIf the change is intentional, regenerate with \
+         `ABBD_REGEN_GOLDEN=1 cargo test --test golden_traces` and review the diff.",
+        mismatches.join("\n  ")
+    );
+}
