@@ -13,38 +13,37 @@
 
 use crate::error::{Error, Result};
 use crate::tester::{DeviceLog, Record};
-use bytes::{BufMut, BytesMut};
+use std::fmt::Write as _;
 
 const HEADER: &str = "#ABBD-DATALOG v1";
 
 /// Serialises device logs into the ASCII datalog format.
 pub fn write_datalog(logs: &[DeviceLog]) -> String {
-    // BytesMut keeps the append loop allocation-friendly for large
-    // populations before the final UTF-8 freeze.
-    let mut buf = BytesMut::with_capacity(logs.len() * 256 + 64);
-    buf.put_slice(HEADER.as_bytes());
-    buf.put_u8(b'\n');
+    let mut buf = String::with_capacity(logs.len() * 256 + 64);
+    buf.push_str(HEADER);
+    buf.push('\n');
     for log in logs {
         if log.truth.is_empty() {
-            buf.put_slice(format!("DEVICE {}\n", log.device_id).as_bytes());
+            let _ = writeln!(buf, "DEVICE {}", log.device_id);
         } else {
-            buf.put_slice(
-                format!("DEVICE {} truth={}\n", log.device_id, log.truth.join(",")).as_bytes(),
+            let _ = writeln!(
+                buf,
+                "DEVICE {} truth={}",
+                log.device_id,
+                log.truth.join(",")
             );
         }
         for r in &log.records {
             let verdict = if r.passed { 'P' } else { 'F' };
-            buf.put_slice(
-                format!(
-                    "RECORD {}|{}|{}|{}|{:.6}|{:.6}|{:.6}|{}\n",
-                    r.suite, r.test_number, r.test_name, r.net, r.lo, r.hi, r.value, verdict
-                )
-                .as_bytes(),
+            let _ = writeln!(
+                buf,
+                "RECORD {}|{}|{}|{}|{:.6}|{:.6}|{:.6}|{}",
+                r.suite, r.test_number, r.test_name, r.net, r.lo, r.hi, r.value, verdict
             );
         }
-        buf.put_slice(b"END\n");
+        buf.push_str("END\n");
     }
-    String::from_utf8(buf.to_vec()).expect("datalog content is always UTF-8")
+    buf
 }
 
 /// Parses a datalog produced by [`write_datalog`] (or a compatible tool).

@@ -31,7 +31,7 @@
 //!   preallocated workspace per depth level, so steady-state planning is
 //!   compile-free and allocation-free like the myopic path.
 //!
-//! [`crate::SequentialDiagnoser`] selects among the three behaviours via
+//! [`crate::DiagnosisSession`] selects among the three behaviours via
 //! [`Strategy`].
 
 use crate::error::{Error, Result};
@@ -40,7 +40,7 @@ use crate::voi::PROB_FLOOR;
 use abbd_bbn::{Evidence, JunctionTree, Network, PropagationWorkspace, VarId};
 use serde::{Deserialize, Serialize};
 
-/// How [`crate::SequentialDiagnoser`] ranks candidate measurements.
+/// How [`crate::DiagnosisSession`] ranks candidate measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Strategy {
     /// Raw expected information gain, one step ahead (the PR 2

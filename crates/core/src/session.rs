@@ -2,12 +2,8 @@
 //! `Action` vocabulary for specification tests and physical probes.
 //!
 //! The paper's workflow is a single loop — observe ATE results, update
-//! the block posteriors, pick the next measurement — but the crate's
-//! historical surface split it across four parallel entry points
-//! ([`crate::DiagnosticEngine::diagnose`], `SequentialDiagnoser`,
-//! `DiagnosticEngine::rank_probes` and [`LookaheadPlanner`]), none of
-//! which let concurrent callers share a compiled model. This module
-//! restructures the API around two types:
+//! the block posteriors, pick the next measurement — and this module
+//! serves it through two types:
 //!
 //! * [`CompiledModel`] — the immutable compilation artifact (fitted
 //!   network, junction-tree schedule, deduction policy, latent/observable
@@ -22,22 +18,17 @@
 //!   specification tests and step-two physical probes, so "measure
 //!   `reg4` or probe `hcbg` next?" is *one* decision, not two phases.
 //!
-//! # Migration from the legacy entry points
+//! # Which call does what
 //!
-//! | old entry point | new call |
-//! |-----------------|----------|
-//! | `DiagnosticEngine::new(model)` | `CompiledModel::compile(model)?.shared()` |
-//! | `DiagnosticEngine::diagnose(&obs)` | seed with [`DiagnosisSession::observe_all`], then [`DiagnosisSession::diagnose`] |
-//! | `SequentialDiagnoser::new(&engine, policy)` | [`DiagnosisSession::new`]`(compiled, policy)` |
-//! | `SequentialDiagnoser::run(oracle)` | [`DiagnosisSession::run`] with an [`ActionExecutor`] |
-//! | `SequentialDiagnoser::score_candidates()` | [`DiagnosisSession::rank_actions`] |
-//! | `DiagnosticEngine::rank_probes(&obs)` | [`DiagnosisSession::set_actions`] with [`Action::Probe`] candidates, then [`DiagnosisSession::rank_actions`] |
-//! | `LookaheadPlanner::values(...)` | [`DiagnosisSession::set_strategy`]`(Strategy::Lookahead { depth })`, then [`DiagnosisSession::rank_actions`] |
-//! | `Measured` | [`Outcome`] |
-//!
-//! The legacy types still exist as thin `#[deprecated]` wrappers over
-//! this module, so existing code keeps compiling (and the golden-trace
-//! corpus replays byte-for-byte through either surface).
+//! | task | call |
+//! |------|------|
+//! | compile a fitted model once | `CompiledModel::compile(model)?.shared()` |
+//! | one-shot diagnosis of an observation | seed with [`DiagnosisSession::observe_all`], then [`DiagnosisSession::diagnose`] |
+//! | closed-loop adaptive diagnosis | [`DiagnosisSession::new`]`(compiled, policy)`, then [`DiagnosisSession::run`] with an [`ActionExecutor`] |
+//! | rank the next measurements | [`DiagnosisSession::rank_actions`] |
+//! | rank step-two probes of latent blocks | [`DiagnosisSession::set_actions`] with [`Action::Probe`] candidates, then [`DiagnosisSession::rank_actions`] |
+//! | plan several measurements ahead | [`DiagnosisSession::set_strategy`]`(Strategy::Lookahead { depth })`, then [`DiagnosisSession::rank_actions`] |
+//! | report a measurement's answer | [`DiagnosisSession::apply`] with an [`Outcome`] |
 //!
 //! # Service boundary
 //!
@@ -183,15 +174,6 @@ pub struct Ranked<A> {
 // The serde shim's derive rejects generics, so `Ranked<A>` carries
 // hand-written impls (the data model is four fields, nothing subtle).
 impl<A: Serialize> Serialize for Ranked<A> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("action".to_string(), self.action.to_value()),
-            ("gain".to_string(), self.gain.to_value()),
-            ("cost".to_string(), self.cost.to_value()),
-            ("score".to_string(), self.score.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"action\":");
         self.action.write_json(out);
@@ -218,21 +200,6 @@ impl<A: Serialize> Serialize for Ranked<A> {
 }
 
 impl<A: Deserialize> Deserialize for Ranked<A> {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let entries = value
-            .as_obj()
-            .ok_or_else(|| serde::DeError::expected("object", "Ranked"))?;
-        let field = |name: &str| {
-            serde::obj_get(entries, name).ok_or_else(|| serde::DeError::missing(name, "Ranked"))
-        };
-        Ok(Ranked {
-            action: Deserialize::from_value(field("action")?)?,
-            gain: Deserialize::from_value(field("gain")?)?,
-            cost: Deserialize::from_value(field("cost")?)?,
-            score: Deserialize::from_value(field("score")?)?,
-        })
-    }
-
     fn read_from<'de, R: serde::Reader<'de>>(
         reader: &mut R,
     ) -> std::result::Result<Self, serde::DeError> {
@@ -2352,5 +2319,303 @@ mod tests {
         done.mark_failing("out2");
         let verdict = compiled.serve(&SessionRequest::new(done)).unwrap();
         assert_eq!(verdict.stop, Some(StopReason::Isolated));
+    }
+
+    /// A device where `bias` is dead: `out1`/`out2` read 0, `out3`
+    /// reads 1.
+    fn dead_bias(action: &Action) -> Result<Outcome> {
+        Ok(match action.target() {
+            "out1" | "out2" => Outcome::failing(0),
+            _ => Outcome::passing(1),
+        })
+    }
+
+    #[test]
+    fn policy_validation() {
+        assert!(StoppingPolicy::default().validate().is_ok());
+        assert!(StoppingPolicy::exhaustive().validate().is_ok());
+        let bad = StoppingPolicy {
+            fault_mass_threshold: 0.0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            bad.validate(),
+            Err(Error::InvalidStoppingPolicy(_))
+        ));
+        let bad = StoppingPolicy {
+            min_gain: -1.0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            DiagnosisSession::new(toy_compiled_model(), bad),
+            Err(Error::InvalidStoppingPolicy(_))
+        ));
+    }
+
+    #[test]
+    fn healthy_device_stops_on_gain_floor() {
+        let policy = StoppingPolicy {
+            // Unreachable isolation: force the gain floor to fire.
+            fault_mass_threshold: 1.0,
+            max_steps: 32,
+            min_gain: 0.3,
+        };
+        let mut s = DiagnosisSession::new(toy_compiled_model(), policy).unwrap();
+        s.observe("pin", 1).unwrap();
+        let outcome = s.run(|_: &Action| Ok(Outcome::passing(1))).unwrap();
+        assert_eq!(outcome.stop, StopReason::GainBelowThreshold);
+        assert!(outcome.diagnosis.candidates().is_empty());
+        // Healthy outputs stop carrying information quickly.
+        assert!(outcome.tests_used() < 3, "{:?}", outcome.applied);
+    }
+
+    #[test]
+    fn max_steps_bounds_the_loop() {
+        let policy = StoppingPolicy {
+            fault_mass_threshold: 1.0,
+            max_steps: 1,
+            min_gain: 0.0,
+        };
+        let mut s = DiagnosisSession::new(toy_compiled_model(), policy).unwrap();
+        s.observe("pin", 1).unwrap();
+        let outcome = s.run(dead_bias).unwrap();
+        assert_eq!(outcome.stop, StopReason::MaxSteps);
+        assert_eq!(outcome.tests_used(), 1);
+    }
+
+    #[test]
+    fn executor_failures_propagate() {
+        let mut s = DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::default()).unwrap();
+        s.observe("pin", 1).unwrap();
+        let err = s.run(|action: &Action| {
+            Err(Error::Oracle {
+                variable: action.target().into(),
+                reason: "bench on fire".into(),
+            })
+        });
+        assert!(matches!(err, Err(Error::Oracle { .. })));
+    }
+
+    #[test]
+    fn seeding_from_observation_preserves_failing_marks() {
+        let mut seed = Observation::new();
+        seed.set("pin", 1).set("out1", 0);
+        seed.mark_failing("out1");
+        let mut s = DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::default()).unwrap();
+        s.observe_all(&seed).unwrap();
+        assert_eq!(s.observation().failing(), &["out1".to_string()]);
+        assert_eq!(s.actions().len(), 2, "the observed test is consumed");
+        assert_eq!(s.diagnose().unwrap().top_candidate(), Some("bias"));
+    }
+
+    /// Probing a block whose state is already known carries no
+    /// information: an observed latent drops out of the probe candidates
+    /// and cannot be offered as one.
+    #[test]
+    fn observed_latents_are_omitted_from_probe_candidates() {
+        let mut s = DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::default()).unwrap();
+        s.observe("out2", 0).unwrap();
+        s.set_actions(["bias", "load", "aux"].map(Action::probe))
+            .unwrap();
+        s.observe("load", 1).unwrap();
+        let ranked = s.rank_actions().unwrap();
+        assert_eq!(ranked.len(), 2);
+        assert!(ranked.iter().all(|c| c.name() != "load" && c.is_probe()));
+        assert!(matches!(
+            s.set_actions([Action::probe("load")]),
+            Err(Error::InvalidAction { .. })
+        ));
+    }
+
+    #[test]
+    fn adaptive_loop_isolates_dead_bias_via_the_informative_output() {
+        let mut s = DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::default()).unwrap();
+        s.observe("pin", 1).unwrap();
+        let outcome = s.run(dead_bias).unwrap();
+        assert_eq!(outcome.stop, StopReason::Isolated);
+        assert_eq!(outcome.diagnosis.top_candidate(), Some("bias"));
+        // out1 mirrors bias almost perfectly, so the loop asks for it
+        // first and needs nothing else.
+        assert_eq!(outcome.applied[0].variable, "out1");
+        assert!(outcome.tests_used() < 3, "{:?}", outcome.applied);
+        assert!(outcome.applied[0].expected_information_gain.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn scripted_run_follows_program_order() {
+        let mut s =
+            DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::exhaustive()).unwrap();
+        s.observe("pin", 1).unwrap();
+        let outcome = s
+            .run_scripted(&["out3", "out2", "out1"], dead_bias)
+            .unwrap();
+        assert_eq!(outcome.stop, StopReason::Exhausted);
+        let order: Vec<&str> = outcome
+            .applied
+            .iter()
+            .map(|a| a.variable.as_str())
+            .collect();
+        assert_eq!(order, ["out3", "out2", "out1"]);
+        assert!(outcome
+            .applied
+            .iter()
+            .all(|a| a.expected_information_gain.is_none()));
+    }
+
+    #[test]
+    fn adaptive_uses_no_more_tests_than_scripted_on_this_case() {
+        let policy = StoppingPolicy::default();
+        let mut adaptive = DiagnosisSession::new(toy_compiled_model(), policy).unwrap();
+        adaptive.observe("pin", 1).unwrap();
+        let a = adaptive.run(dead_bias).unwrap();
+        let mut fixed = DiagnosisSession::new(toy_compiled_model(), policy).unwrap();
+        fixed.observe("pin", 1).unwrap();
+        // Program order happens to lead with the least informative test.
+        let f = fixed
+            .run_scripted(&["out3", "out2", "out1"], dead_bias)
+            .unwrap();
+        assert!(
+            a.tests_used() <= f.tests_used(),
+            "adaptive {} > fixed {}",
+            a.tests_used(),
+            f.tests_used()
+        );
+    }
+
+    /// `set_candidates` classifies bare names (latent blocks become
+    /// probes) and reports bad names as invalid observations.
+    #[test]
+    fn candidate_management_and_errors() {
+        let mut s = DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::default()).unwrap();
+        assert_eq!(s.actions().len(), 3);
+        s.set_candidates(["out1", "aux"]).unwrap();
+        assert_eq!(s.actions().len(), 2);
+        assert!(!s.actions()[0].is_probe(), "out1 is an observable test");
+        assert!(s.actions()[1].is_probe(), "aux is a latent probe");
+        assert!(matches!(
+            s.set_candidates(["ghost"]),
+            Err(Error::InvalidObservation { .. })
+        ));
+        assert!(
+            matches!(
+                s.set_candidates(["out1", "out1"]),
+                Err(Error::InvalidObservation { .. })
+            ),
+            "duplicate candidates must be rejected up front"
+        );
+        s.observe("out1", 1).unwrap();
+        assert_eq!(s.actions().len(), 1, "observing a candidate consumes it");
+        assert!(matches!(
+            s.set_candidates(["out1"]),
+            Err(Error::InvalidObservation { .. })
+        ));
+        assert!(matches!(
+            s.observe("out1", 9),
+            Err(Error::InvalidObservation { .. })
+        ));
+        assert!(matches!(
+            s.observe("ghost", 0),
+            Err(Error::InvalidObservation { .. })
+        ));
+        let ranked = s.rank_actions().unwrap();
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].name(), "aux");
+        assert!(ranked[0].expected_information_gain() >= 0.0);
+    }
+
+    /// Two latent hypotheses drive one shared symptom; a third latent is
+    /// independent noise. Probing either hypothesis block should carry
+    /// more information than probing the bystander.
+    fn hypotheses_session() -> DiagnosisSession {
+        use crate::builder::{ExpertKnowledge, ModelBuilder};
+        use crate::model::CircuitModel;
+        use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
+
+        let var = |name: &str, ftype| VariableSpec {
+            name: name.into(),
+            ftype,
+            bands: vec![
+                StateBand::new("0", 0.0, 1.0, "bad"),
+                StateBand::new("1", 1.0, 2.0, "good"),
+            ],
+            ckt_ref: None,
+        };
+        let spec = ModelSpec::new([
+            var("ha", FunctionalType::Latent),
+            var("hb", FunctionalType::Latent),
+            var("bystander", FunctionalType::Latent),
+            var("symptom", FunctionalType::Observe),
+            var("other", FunctionalType::Observe),
+        ])
+        .unwrap();
+        let mut m = CircuitModel::new(spec);
+        m.depends("ha", "symptom").unwrap();
+        m.depends("hb", "symptom").unwrap();
+        m.depends("bystander", "other").unwrap();
+        let mut e = ExpertKnowledge::new(10.0);
+        e.cpt("ha", [[0.1, 0.9]]);
+        e.cpt("hb", [[0.1, 0.9]]);
+        e.cpt("bystander", [[0.1, 0.9]]);
+        // symptom bad iff ha bad OR hb bad (tight OR of failures).
+        e.cpt(
+            "symptom",
+            [[0.98, 0.02], [0.95, 0.05], [0.95, 0.05], [0.03, 0.97]],
+        );
+        e.cpt("other", [[0.9, 0.1], [0.1, 0.9]]);
+        let model = ModelBuilder::new(m)
+            .with_expert(e)
+            .build_expert_only()
+            .unwrap();
+        let compiled = CompiledModel::compile(model).unwrap().shared();
+        let mut s = DiagnosisSession::new(compiled, StoppingPolicy::default()).unwrap();
+        s.set_actions(["ha", "hb", "bystander"].map(Action::probe))
+            .unwrap();
+        s
+    }
+
+    #[test]
+    fn ambiguous_hypotheses_rank_above_bystanders() {
+        let mut s = hypotheses_session();
+        s.observe("symptom", 0).unwrap();
+        s.observe("other", 1).unwrap();
+        let ranked = s.rank_actions().unwrap();
+        assert_eq!(ranked.len(), 3);
+        let gain = |name: &str| {
+            ranked
+                .iter()
+                .find(|c| c.name() == name)
+                .unwrap()
+                .expected_information_gain()
+        };
+        assert!(gain("ha") > gain("bystander") * 3.0);
+        assert!(gain("hb") > gain("bystander") * 3.0);
+        // Top suggestion is one of the two competing hypotheses.
+        assert!(ranked[0].name() == "ha" || ranked[0].name() == "hb");
+    }
+
+    #[test]
+    fn resolved_cases_carry_little_information() {
+        let mut s = hypotheses_session();
+        // Nothing failing: posteriors near-certain, all gains tiny.
+        s.observe("symptom", 1).unwrap();
+        s.observe("other", 1).unwrap();
+        for c in s.rank_actions().unwrap() {
+            assert!(
+                c.expected_information_gain() < 0.2,
+                "unexpectedly informative probe: {}",
+                c.name()
+            );
+        }
+    }
+
+    #[test]
+    fn gains_are_nonnegative_and_sorted() {
+        let mut s = hypotheses_session();
+        s.observe("symptom", 0).unwrap();
+        let ranked = s.rank_actions().unwrap();
+        for w in ranked.windows(2) {
+            assert!(w[0].expected_information_gain() >= w[1].expected_information_gain());
+        }
+        assert!(ranked.iter().all(|c| c.expected_information_gain() >= 0.0));
     }
 }

@@ -1,6 +1,6 @@
-//! The value-of-information kernel shared by probe ranking
-//! ([`DiagnosticEngine::rank_probes`]) and sequential adaptive diagnosis
-//! ([`crate::SequentialDiagnoser`]).
+//! The value-of-information kernel behind
+//! [`crate::DiagnosisSession::rank_actions`], which ranks specification
+//! tests and step-two probes of latent blocks in one candidate set.
 //!
 //! # The quantity
 //!
@@ -30,7 +30,7 @@
 //! suite-switch penalty charged whenever the candidate's stimulus suite
 //! differs from the currently applied one (the quantity
 //! `DeviceSession::stimulus_switches` counts on the bench).
-//! [`crate::SequentialDiagnoser`] applies it under
+//! [`crate::DiagnosisSession`] applies it under
 //! [`crate::Strategy::CostWeighted`], and
 //! [`crate::Strategy::Lookahead`] feeds the same normalisation with the
 //! bounded-depth expectimax value of [`crate::LookaheadPlanner`] instead
@@ -130,10 +130,9 @@ impl DiagnosticEngine {
     /// The expected information gain (nats) of measuring `variable` under
     /// `observation`: how much the summed posterior entropy of the latent
     /// blocks would shrink, in expectation over the variable's current
-    /// posterior. This is the one-shot public face of the VOI kernel that
-    /// [`DiagnosticEngine::rank_probes`] and
-    /// [`crate::SequentialDiagnoser`] share; use those for ranking whole
-    /// candidate sets.
+    /// posterior. This is the one-shot public face of the VOI kernel
+    /// behind [`crate::DiagnosisSession::rank_actions`]; use that for
+    /// ranking whole candidate sets.
     ///
     /// # Errors
     ///

@@ -157,8 +157,7 @@ impl Client {
     }
 
     /// `POST path` serialising `value` as JSON straight into the
-    /// client's reused encode buffer (no intermediate `Value` tree or
-    /// `String`).
+    /// client's reused encode buffer (no intermediate `String`).
     ///
     /// # Errors
     ///

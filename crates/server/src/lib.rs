@@ -108,8 +108,8 @@
 //!   magic `aB`, version byte, `u32` little-endian payload length, then
 //!   a tagged tree of null/bool/f64/string/array/object values with
 //!   LEB128 length prefixes. Decoding either body yields the *same*
-//!   in-memory request (the `codec` proptests pin byte-for-byte decode
-//!   equality), so the formats are interchangeable per request.
+//!   in-memory request (the `codec` proptests pin it), so the formats
+//!   are interchangeable per request.
 //!
 //! Negotiation is per message direction and per request:
 //!
@@ -121,7 +121,7 @@
 //!   blind.
 //!
 //! On `POST …/diagnose_batch` the binary request body streams row by
-//! row: one header frame (`{"deduction": …}`) followed by one frame per
+//! row: one [`BatchHeader`] frame (`{"deduction": …}`) followed by one frame per
 //! observation, concatenated. The server decodes rows without
 //! materialising a giant JSON array, and a binary reply is the
 //! concatenated per-row [`BatchEntry`] frames in input order.
@@ -142,9 +142,10 @@
 //!   string is always valid UTF-8.
 //!
 //! Both directions serialize *directly* between DTOs and wire bytes
-//! (the `serde` shim's streaming `write_json`/`write_binary`/`read_from`
-//! paths); the `Value`-tree fallback remains for generic payloads and is
-//! pinned byte-identical by the `codec` proptests.
+//! (the `serde` shim's `write_json`/`write_binary`/`read_from`, its
+//! only serialization path); the `codec` proptests pin JSON → binary →
+//! JSON round trips byte-identical, and the `tests/golden/wire_*`
+//! fixtures pin the bytes themselves.
 //!
 //! **Delta rounds** cut the upload side: a [`SessionRequest`] with
 //! `"delta": true` sends only *new* observations for a stored session —
@@ -227,9 +228,9 @@ pub use error::{ApiError, ErrorBody};
 pub use net::NetStats;
 pub use registry::{BundleBlock, BundlePartition, ModelBundle, ModelInfo, ModelRegistry};
 pub use service::{
-    ActivateReply, ActivateRequest, BatchDiagnosis, BatchEntry, BatchReply, BatchRequest,
-    CloseSessionReply, HealthReport, ModelStats, ModelsReport, OpenSessionReply, ServiceState,
-    ServiceStats, StatsReport, VersionsReport,
+    ActivateReply, ActivateRequest, BatchDiagnosis, BatchEntry, BatchHeader, BatchReply,
+    BatchRequest, CloseSessionReply, HealthReport, ModelStats, ModelsReport, OpenSessionReply,
+    ServiceState, ServiceStats, StatsReport, VersionsReport,
 };
 pub use store::{ServedSession, SessionStore, StoreStats, StoredSession};
 

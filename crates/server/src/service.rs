@@ -105,6 +105,17 @@ pub struct BatchRequest {
     pub deduction: Option<DeductionPolicy>,
 }
 
+/// Header frame of a binary (streaming) `diagnose_batch` request: the
+/// batch-wide knobs, followed on the wire by one [`Observation`] frame
+/// per row.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct BatchHeader {
+    /// Deduction-policy override applied to every row (compiled default
+    /// when absent).
+    #[serde(default)]
+    pub deduction: Option<DeductionPolicy>,
+}
+
 /// One device's diagnosis in a batch reply.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchDiagnosis {
@@ -684,15 +695,6 @@ fn diagnose_batch(
     } else {
         Ok(json_response(200, &BatchReply { reports }))
     }
-}
-
-/// Header frame of a binary (streaming) batch request: the batch-wide
-/// knobs, followed on the wire by one [`Observation`] frame per row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct BatchHeader {
-    /// Deduction-policy override applied to every row.
-    #[serde(default)]
-    deduction: Option<DeductionPolicy>,
 }
 
 /// Decodes a binary `diagnose_batch` body: one header frame, then one

@@ -1,6 +1,7 @@
 //! The two wire codecs are interchangeable: any `SessionRequest` or
 //! `SessionReport` decodes to the same value from its JSON encoding and
-//! its compact binary encoding. The proptests below pin that on
+//! its compact binary encoding, and a JSON → binary → JSON trip returns
+//! the original bytes. The proptests below pin that on
 //! messy-but-finite floats (thirds, ten-thousandths — values whose
 //! decimal rendering exercises the shortest-roundtrip printer) and on
 //! real inference output, whose posteriors and log-likelihoods are
@@ -79,11 +80,12 @@ proptest! {
         prop_assert_eq!(json_of(&from_binary), json_of(&report));
     }
 
-    /// The streaming serializers emit byte-identical wire output to the
-    /// `Value`-tree fallback, both codecs, on arbitrary requests — so
-    /// retiring the intermediate tree cannot change a single wire byte.
+    /// JSON → binary → JSON is the identity on arbitrary requests: the
+    /// JSON bytes decode, re-encode as a binary frame, decode again and
+    /// re-encode to the same JSON bytes, and the same holds starting
+    /// from the frame.
     #[test]
-    fn streaming_requests_are_byte_identical_to_the_value_path(
+    fn requests_round_trip_json_binary_json(
         pin in 0usize..2,
         threshold_millis in 1u32..1000,
         max_steps in 1usize..64,
@@ -96,26 +98,18 @@ proptest! {
         if delta {
             request = request.into_delta();
         }
-        let tree = serde::Serialize::to_value(&request);
-
-        let mut streamed_json = Vec::new();
-        serde::Serialize::write_json(&request, &mut streamed_json);
-        let mut tree_json = Vec::new();
-        serde::json::write_value(&tree, &mut tree_json);
-        prop_assert_eq!(&streamed_json, &tree_json);
-
-        let mut streamed_frame = Vec::new();
-        codec::frame_into(&request, &mut streamed_frame);
-        let mut tree_frame = Vec::new();
-        codec::write_frame(&tree, &mut tree_frame);
-        prop_assert_eq!(streamed_frame, tree_frame);
+        let json = json_of(&request);
+        let frame = codec::to_frame(&serde_json::from_str::<SessionRequest>(&json).unwrap());
+        let back: SessionRequest = codec::from_frame(&frame).unwrap();
+        prop_assert_eq!(json_of(&back), json);
+        let again: SessionRequest = serde_json::from_str(&json_of(&back)).unwrap();
+        prop_assert_eq!(codec::to_frame(&again), frame);
     }
 
-    /// The same byte-identity on real inference output: reports stream
-    /// onto the wire exactly as the tree path encoded them, and the
-    /// streaming decoder reads back what the tree decoder reads.
+    /// The same identity on real inference output, whose doubles come
+    /// out of the propagation kernels.
     #[test]
-    fn streaming_reports_are_byte_identical_to_the_value_path(
+    fn reports_round_trip_json_binary_json(
         pin in 0usize..2,
         fail_out1 in proptest::bool::ANY,
     ) {
@@ -126,27 +120,12 @@ proptest! {
             request.observation.mark_failing("out1");
         }
         let report = toy_compiled_model().serve(&request).unwrap();
-        let tree = serde::Serialize::to_value(&report);
-
-        let mut streamed_json = Vec::new();
-        serde::Serialize::write_json(&report, &mut streamed_json);
-        let mut tree_json = Vec::new();
-        serde::json::write_value(&tree, &mut tree_json);
-        prop_assert_eq!(String::from_utf8(streamed_json).unwrap(), String::from_utf8(tree_json).unwrap());
-
-        let mut streamed_frame = Vec::new();
-        codec::frame_into(&report, &mut streamed_frame);
-        let mut tree_frame = Vec::new();
-        codec::write_frame(&tree, &mut tree_frame);
-        prop_assert_eq!(&streamed_frame, &tree_frame);
-
-        // Decode equivalence: the streaming reader and the tree reader
-        // agree on the same frame.
-        let streamed: SessionReport = codec::from_frame(&streamed_frame).unwrap();
-        let mut pos = 0;
-        let tree_back = codec::read_frame(&streamed_frame, &mut pos).unwrap();
-        let via_tree = <SessionReport as serde::Deserialize>::from_value(&tree_back).unwrap();
-        prop_assert_eq!(json_of(&streamed), json_of(&via_tree));
+        let json = json_of(&report);
+        let frame = codec::to_frame(&serde_json::from_str::<SessionReport>(&json).unwrap());
+        let back: SessionReport = codec::from_frame(&frame).unwrap();
+        prop_assert_eq!(json_of(&back), json);
+        let again: SessionReport = serde_json::from_str(&json_of(&back)).unwrap();
+        prop_assert_eq!(codec::to_frame(&again), frame);
     }
 
     /// Frame-level sanity under concatenation: N encoded requests stream
@@ -158,12 +137,11 @@ proptest! {
         for &max_steps in &steps {
             let mut request = SessionRequest::new(Default::default());
             request.policy.max_steps = max_steps;
-            codec::write_frame(&serde::Serialize::to_value(&request), &mut wire);
+            codec::frame_into(&request, &mut wire);
         }
         let mut pos = 0;
         for &max_steps in &steps {
-            let value = codec::read_frame(&wire, &mut pos).unwrap();
-            let decoded = <SessionRequest as serde::Deserialize>::from_value(&value).unwrap();
+            let decoded: SessionRequest = codec::decode_frame(&wire, &mut pos).unwrap();
             prop_assert_eq!(decoded.policy.max_steps, max_steps);
         }
         prop_assert_eq!(pos, wire.len());

@@ -238,6 +238,41 @@ fn inconsistent_deltas_are_422_and_leave_the_session_untouched() {
     let _ = c.delete(&format!("/v1/sessions/{id}"));
 }
 
+/// A state outside `usize` is a malformed body, in either codec: the
+/// integer decoder refuses it instead of clamping `-1` to state 0, so
+/// the round is a structured `400` and the stored evidence stays as it
+/// was.
+#[test]
+fn out_of_range_states_are_400_and_leave_the_session_untouched() {
+    let mut c = client();
+    let (path, id) = session_with_pin(&mut c);
+
+    let mut request = SessionRequest::new(Default::default());
+    request.observation.set("out1", 0);
+    let json = serde_json::to_string(&request).unwrap();
+    assert!(json.contains(r#"["out1",0]"#), "{json}");
+    for state in ["-1", "18446744073709551616"] {
+        let bad = json.replace(r#"["out1",0]"#, &format!(r#"["out1",{state}]"#));
+        let (status, body) = c.post(&path, &bad).unwrap();
+        assert_eq!(decode_error(status, &body), (400, "bad_request".into()));
+        // The same body as a binary frame (a `Value` tree carries the
+        // negative number the typed DTO cannot).
+        let tree = serde_json::parse_value_str(&bad).unwrap();
+        let (status, body) = c.post_binary(&path, &codec::to_frame(&tree)).unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(decode_error(status, &body), (400, "bad_request".into()));
+    }
+
+    // An empty delta replays the stored evidence: still only `pin = 1`.
+    let replay = SessionRequest::new(Default::default()).into_delta();
+    let (status, wire) = c
+        .post(&path, &serde_json::to_string(&replay).unwrap())
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(wire, pin_reference_json());
+    let _ = c.delete(&format!("/v1/sessions/{id}"));
+}
+
 #[test]
 fn binary_rounds_answer_the_same_report_as_json() {
     let mut c = client();

@@ -4,14 +4,14 @@
 //! layout around this payload encoding).
 //!
 //! Like [`crate::json`], this module is the single source of truth for
-//! the byte format: the `Value`-tree fallback ([`write_value`]) and the
-//! derive-generated `write_binary` / `read_from` fast paths route
-//! through the same helpers, so both paths emit bit-identical bytes.
+//! the byte format: the built-in impls and the derive-generated
+//! `write_binary` / `read_from` methods all route through these
+//! helpers.
 //! Decoding is hardened: every length is checked against the remaining
 //! buffer before it is trusted, and nesting is capped at
 //! [`crate::MAX_DEPTH`].
 
-use crate::{DeError, Peek, Reader, Value};
+use crate::{DeError, Peek, Reader};
 use std::borrow::Cow;
 
 /// Tag byte for `null`.
@@ -82,30 +82,6 @@ pub fn write_arr(len: usize, out: &mut Vec<u8>) {
 pub fn write_obj(len: usize, out: &mut Vec<u8>) {
     out.push(TAG_OBJ);
     write_varint(len as u64, out);
-}
-
-/// Appends the encoding of a whole [`Value`] tree — the fallback path
-/// behind [`crate::Serialize::write_binary`].
-pub fn write_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => write_null(out),
-        Value::Bool(b) => write_bool(*b, out),
-        Value::Num(n) => write_f64(*n, out),
-        Value::Str(s) => write_str(s, out),
-        Value::Arr(items) => {
-            write_arr(items.len(), out);
-            for item in items {
-                write_value(item, out);
-            }
-        }
-        Value::Obj(entries) => {
-            write_obj(entries.len(), out);
-            for (key, item) in entries {
-                write_key(key, out);
-                write_value(item, out);
-            }
-        }
-    }
 }
 
 /// Event-driven reader over one binary-encoded value payload (no frame
@@ -295,11 +271,11 @@ impl<'de> Reader<'de> for BinReader<'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Deserialize;
+    use crate::{Deserialize, Serialize, Value};
 
     fn round_trip(value: &Value) -> Value {
         let mut out = Vec::new();
-        write_value(value, &mut out);
+        value.write_binary(&mut out);
         let mut reader = BinReader::new(&out);
         let back = Value::read_from(&mut reader).expect("decodes");
         reader.expect_end().expect("fully consumed");

@@ -1,12 +1,10 @@
-//! Streaming compact-JSON support for the shim's data model: emit
-//! helpers that append straight to a byte buffer, and an event-driven
-//! [`JsonReader`] that walks JSON text without materialising a
-//! [`Value`] tree.
+//! The shim's compact-JSON grammar: emit helpers that append straight
+//! to a byte buffer, and an event-driven [`JsonReader`] that walks JSON
+//! text for [`crate::Deserialize::read_from`].
 //!
-//! Both halves are the single source of truth for the shim's JSON
-//! grammar — `serde_json` and the derive-generated `write_json` /
-//! `read_from` fast paths all route through here, so the `Value`
-//! fallback and the streaming path emit bit-identical bytes.
+//! Both halves are the single source of truth for the JSON bytes:
+//! `serde_json`, the built-in impls and the derive-generated
+//! `write_json` / `read_from` methods all route through here.
 //!
 //! Wire limits and number formatting:
 //!
@@ -22,7 +20,7 @@
 //! * `\uXXXX` escapes decode surrogate pairs to one scalar; a lone
 //!   surrogate half is a parse error.
 
-use crate::{DeError, Peek, Reader, Value};
+use crate::{DeError, Peek, Reader};
 use std::borrow::Cow;
 use std::io::Write as _;
 
@@ -70,40 +68,6 @@ pub fn write_f64(n: f64, out: &mut Vec<u8>) {
         // Shortest representation that round-trips (prints `-0` for
         // negative zero, which parses back sign-intact).
         let _ = write!(out, "{n}");
-    }
-}
-
-/// Appends the compact (no whitespace) encoding of a [`Value`] tree —
-/// the fallback path behind [`crate::Serialize::write_json`].
-pub fn write_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.extend_from_slice(b"null"),
-        Value::Bool(true) => out.extend_from_slice(b"true"),
-        Value::Bool(false) => out.extend_from_slice(b"false"),
-        Value::Num(n) => write_f64(*n, out),
-        Value::Str(s) => write_escaped(s, out),
-        Value::Arr(items) => {
-            out.push(b'[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                write_value(item, out);
-            }
-            out.push(b']');
-        }
-        Value::Obj(entries) => {
-            out.push(b'{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                write_escaped(key, out);
-                out.push(b':');
-                write_value(item, out);
-            }
-            out.push(b'}');
-        }
     }
 }
 
@@ -408,11 +372,11 @@ impl<'de> Reader<'de> for JsonReader<'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Deserialize;
+    use crate::{Deserialize, Serialize, Value};
 
     fn json_of(value: &Value) -> String {
         let mut out = Vec::new();
-        write_value(value, &mut out);
+        value.write_json(&mut out);
         String::from_utf8(out).expect("valid UTF-8")
     }
 

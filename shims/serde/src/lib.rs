@@ -1,29 +1,34 @@
 //! Minimal in-tree replacement for the `serde` crate.
 //!
-//! The workspace builds offline, so instead of the real serde data model
-//! this shim uses a single concrete [`Value`] tree: `Serialize` renders a
-//! type into a `Value`, `Deserialize` rebuilds a type from one. The derive
-//! macros (re-exported from `serde_derive`) generate impls of these two
-//! traits for plain structs and enums, honouring `#[serde(default)]` and
-//! `#[serde(skip)]`.
+//! The workspace builds offline, so instead of serde's visitor-based
+//! data model this shim streams. [`Serialize::write_json`] and
+//! [`Serialize::write_binary`] append a type's compact JSON or binary
+//! encoding straight to a byte buffer. [`Deserialize::read_from`]
+//! decodes a type from an event-driven [`Reader`]
+//! ([`json::JsonReader`] or [`binary::BinReader`]). These three
+//! methods are the whole data model: every type has one encoder per
+//! codec and one decoder, and nothing builds an intermediate tree.
 //!
-//! On top of the tree model sits a **streaming fast path**:
-//! [`Serialize::write_json`] / [`Serialize::write_binary`] emit a type
-//! straight into a byte buffer, and [`Deserialize::read_from`] decodes
-//! it from an event-driven [`Reader`] ([`json::JsonReader`] or
-//! [`binary::BinReader`]) without materialising a `Value`. The default
-//! methods fall back through the tree, so hand-written impls stay
-//! correct without opting in, and both paths are pinned byte-identical
-//! (the derive and the fallback route through the same [`json`] /
-//! [`binary`] emit helpers).
+//! The derive macros (re-exported from `serde_derive`) generate the
+//! three methods for plain structs and enums, honouring
+//! `#[serde(default)]` and `#[serde(skip)]`. The [`json`] and
+//! [`binary`] modules hold each codec's grammar (escaping, number
+//! formatting, tags, varints), which the derive and the built-in impls
+//! share.
+//!
+//! [`Value`] is a plain JSON document type for callers that want a
+//! schema-free tree (pretty printing, inspecting a result line). It
+//! implements both traits like any other type.
 //!
 //! Wire limits: both readers cap container nesting at [`MAX_DEPTH`], so
 //! adversarial input fails with a parse error instead of exhausting the
-//! decoder's stack.
+//! decoder's stack. Integers decode only when the number is whole and
+//! inside the target type's range.
 //!
 //! Maps serialize as arrays of `[key, value]` pairs regardless of key type,
 //! which keeps the encoding self-consistent for non-string keys (the real
-//! serde_json would reject those).
+//! serde_json would reject those). `HashMap` pairs are sorted by the key's
+//! compact JSON bytes, so the encoding is deterministic.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -39,7 +44,7 @@ pub use serde_derive::{Deserialize, Serialize};
 /// `[[[[…` input (JSON or binary) cannot overflow the decoder's stack.
 pub const MAX_DEPTH: usize = 128;
 
-/// The common self-describing tree both traits speak.
+/// A JSON document as a tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -57,26 +62,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// The object entries, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -88,11 +77,6 @@ impl Value {
             _ => None,
         }
     }
-}
-
-/// Looks a key up in an object's entry list (linear scan; objects are tiny).
-pub fn obj_get<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// Deserialization failure: what was expected, where.
@@ -250,93 +234,28 @@ pub trait Reader<'de> {
             }
         }
     }
-
-    /// Consumes one whole value into a [`Value`] tree — the bridge that
-    /// lets [`Deserialize::from_value`]-only types decode from a
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any parse failure.
-    fn read_value(&mut self) -> Result<Value, DeError>
-    where
-        Self: Sized,
-    {
-        match self.peek()? {
-            Peek::Null => {
-                self.read_null()?;
-                Ok(Value::Null)
-            }
-            Peek::Bool => Ok(Value::Bool(self.read_bool()?)),
-            Peek::Num => Ok(Value::Num(self.read_f64()?)),
-            Peek::Str => Ok(Value::Str(self.read_str()?.into_owned())),
-            Peek::Arr => {
-                self.begin_array()?;
-                let mut items = Vec::new();
-                while self.array_next()? {
-                    items.push(self.read_value()?);
-                }
-                Ok(Value::Arr(items))
-            }
-            Peek::Obj => {
-                self.begin_object()?;
-                let mut entries = Vec::new();
-                while let Some(key) = self.object_key()? {
-                    let item = self.read_value()?;
-                    entries.push((key.into_owned(), item));
-                }
-                Ok(Value::Obj(entries))
-            }
-        }
-    }
 }
 
-/// Renders `self` into a [`Value`] tree, or streams it straight into a
-/// byte buffer.
+/// Streams `self` into a byte buffer, in either wire encoding.
 pub trait Serialize {
-    /// The `Value` encoding of `self`.
-    fn to_value(&self) -> Value;
+    /// Appends the compact JSON encoding of `self` to `out`.
+    fn write_json(&self, out: &mut Vec<u8>);
 
-    /// Appends the compact JSON encoding of `self` to `out`, without
-    /// materialising a `Value`. The default falls back through
-    /// [`Serialize::to_value`]; both paths emit identical bytes.
-    fn write_json(&self, out: &mut Vec<u8>) {
-        json::write_value(&self.to_value(), out);
-    }
-
-    /// Appends the compact binary encoding of `self` to `out`, without
-    /// materialising a `Value`. The default falls back through
-    /// [`Serialize::to_value`]; both paths emit identical bytes.
-    fn write_binary(&self, out: &mut Vec<u8>) {
-        binary::write_value(&self.to_value(), out);
-    }
+    /// Appends the compact binary encoding of `self` to `out`.
+    fn write_binary(&self, out: &mut Vec<u8>);
 }
 
-/// Rebuilds `Self` from a [`Value`] tree, or straight from a streaming
-/// [`Reader`].
+/// Decodes `Self` from a streaming [`Reader`].
 pub trait Deserialize: Sized {
-    /// Parses `Self` out of `value`.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
-
-    /// Parses `Self` out of a streaming reader. The default falls back
-    /// to [`Reader::read_value`] + [`Deserialize::from_value`], so
-    /// hand-written tree impls keep working; derived impls decode
-    /// event-by-event with no intermediate tree.
+    /// Parses `Self` out of `reader`, event by event.
     ///
     /// # Errors
     ///
     /// Propagates reader parse failures and shape mismatches.
-    fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
-        let value = reader.read_value()?;
-        Self::from_value(&value)
-    }
+    fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         (**self).write_json(out);
     }
@@ -347,36 +266,73 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
-        json::write_value(self, out);
+        match self {
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Num(n) => json::write_f64(*n, out),
+            Value::Str(s) => json::write_escaped(s, out),
+            Value::Arr(items) => items.write_json(out),
+            Value::Obj(entries) => {
+                out.push(b'{');
+                for (i, (key, item)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(b',');
+                    }
+                    json::write_escaped(key, out);
+                    out.push(b':');
+                    item.write_json(out);
+                }
+                out.push(b'}');
+            }
+        }
     }
 
     fn write_binary(&self, out: &mut Vec<u8>) {
-        binary::write_value(self, out);
+        match self {
+            Value::Null => binary::write_null(out),
+            Value::Bool(b) => binary::write_bool(*b, out),
+            Value::Num(n) => binary::write_f64(*n, out),
+            Value::Str(s) => binary::write_str(s, out),
+            Value::Arr(items) => items.write_binary(out),
+            Value::Obj(entries) => {
+                binary::write_obj(entries.len(), out);
+                for (key, item) in entries {
+                    binary::write_key(key, out);
+                    item.write_binary(out);
+                }
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
-        reader.read_value()
+        Ok(match reader.peek()? {
+            Peek::Null => {
+                reader.read_null()?;
+                Value::Null
+            }
+            Peek::Bool => Value::Bool(reader.read_bool()?),
+            Peek::Num => Value::Num(reader.read_f64()?),
+            Peek::Str => Value::Str(reader.read_str()?.into_owned()),
+            Peek::Arr => Value::Arr(Vec::read_from(reader)?),
+            Peek::Obj => {
+                reader.begin_object()?;
+                let mut entries = Vec::new();
+                while let Some(key) = reader.object_key()? {
+                    let key = key.into_owned();
+                    entries.push((key, Value::read_from(reader)?));
+                }
+                Value::Obj(entries)
+            }
+        })
     }
 }
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(*self as f64)
-            }
-
             fn write_json(&self, out: &mut Vec<u8>) {
                 json::write_f64(*self as f64, out);
             }
@@ -386,20 +342,19 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let n = value
-                    .as_num()
-                    .ok_or_else(|| DeError::expected("number", stringify!($t)))?;
-                if n.fract() != 0.0 {
-                    return Err(DeError::expected("integer", stringify!($t)));
-                }
-                Ok(n as $t)
-            }
-
             fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
                 let n = reader.read_f64()?;
                 if n.fract() != 0.0 {
                     return Err(DeError::expected("integer", stringify!($t)));
+                }
+                // `MAX as f64 + 1.0` is exact for every width up to 32
+                // bits and rounds to 2^64 / 2^63 for the 64-bit types,
+                // which is still the first integer past their range.
+                if !(<$t>::MIN as f64..<$t>::MAX as f64 + 1.0).contains(&n) {
+                    return Err(DeError::custom(format!(
+                        "{n} is out of range for {}",
+                        stringify!($t)
+                    )));
                 }
                 Ok(n as $t)
             }
@@ -410,10 +365,6 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Num(*self)
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_f64(*self, out);
     }
@@ -424,23 +375,11 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Num(n) => Ok(*n),
-            // NaN/inf round-trip through null / string markers.
-            Value::Null => Ok(f64::NAN),
-            Value::Str(s) if s == "NaN" => Ok(f64::NAN),
-            Value::Str(s) if s == "inf" => Ok(f64::INFINITY),
-            Value::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-            _ => Err(DeError::expected("number", "f64")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         match reader.peek()? {
             Peek::Num => reader.read_f64(),
-            // Same leniency as `from_value`: NaN/inf arrive as null /
-            // string markers from the JSON encoding.
+            // NaN/inf arrive as null / string markers from the JSON
+            // encoding.
             Peek::Null => {
                 reader.read_null()?;
                 Ok(f64::NAN)
@@ -457,10 +396,6 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Num(f64::from(*self))
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_f64(f64::from(*self), out);
     }
@@ -471,20 +406,12 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        f64::from_value(value).map(|n| n as f32)
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         f64::read_from(reader).map(|n| n as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
@@ -495,23 +422,12 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::expected("bool", "bool")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         reader.read_bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self, out);
     }
@@ -522,23 +438,12 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| DeError::expected("string", "String"))
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         Ok(reader.read_str()?.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self, out);
     }
@@ -549,10 +454,6 @@ impl Serialize for str {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self.encode_utf8(&mut [0u8; 4]), out);
     }
@@ -563,17 +464,6 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| DeError::expected("string", "char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::expected("single-character string", "char")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         let s = reader.read_str()?;
         let mut chars = s.chars();
@@ -585,13 +475,6 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
-        }
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         match self {
             None => out.extend_from_slice(b"null"),
@@ -608,13 +491,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         if reader.peek()? == Peek::Null {
             reader.read_null()?;
@@ -626,10 +502,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.as_slice().write_json(out);
     }
@@ -640,15 +512,6 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_arr()
-            .ok_or_else(|| DeError::expected("array", "Vec"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         reader.begin_array()?;
         let mut items = Vec::new();
@@ -660,10 +523,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'[');
         for (i, item) in self.iter().enumerate() {
@@ -686,10 +545,6 @@ impl<T: Serialize> Serialize for [T] {
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$n.to_value()),+])
-            }
-
             fn write_json(&self, out: &mut Vec<u8>) {
                 out.push(b'[');
                 let mut first = true;
@@ -708,18 +563,6 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let items = value.as_arr().ok_or_else(|| DeError::expected("array", "tuple"))?;
-                let expected = [$( stringify!($n) ),+].len();
-                if items.len() != expected {
-                    return Err(DeError::custom(format!(
-                        "tuple length mismatch: expected {expected}, got {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($t::from_value(&items[$n])?,)+))
-            }
-
             fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
                 reader.begin_array()?;
                 let expected = [$( stringify!($n) ),+].len();
@@ -753,14 +596,6 @@ impl_tuple! {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Arr(
-            self.iter()
-                .map(|(k, v)| Value::Arr(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         write_pairs_json(self.iter(), out);
     }
@@ -771,10 +606,6 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_pairs(value)?.collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         read_pairs(reader, BTreeMap::new(), |map, k, v| {
             map.insert(k, v);
@@ -783,21 +614,6 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Sort the pair encoding so serialization is deterministic.
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| {
-                (
-                    format!("{:?}", k.to_value()),
-                    Value::Arr(vec![k.to_value(), v.to_value()]),
-                )
-            })
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Arr(pairs.into_iter().map(|(_, v)| v).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         write_pairs_json(sorted_hash_pairs(self).into_iter(), out);
     }
@@ -808,10 +624,6 @@ impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_pairs(value)?.collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         read_pairs(reader, HashMap::new(), |map, k, v| {
             map.insert(k, v);
@@ -819,12 +631,17 @@ impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
     }
 }
 
-/// The same deterministic ordering [`HashMap::to_value`] uses: pairs
-/// sorted by the debug rendering of the key's `Value` encoding.
+/// A `HashMap`'s pairs in a deterministic order: sorted by the key's
+/// compact JSON bytes (numeric text order for integer keys, code-point
+/// order for string keys without escapes).
 fn sorted_hash_pairs<K: Serialize, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
-    let mut pairs: Vec<(String, (&K, &V))> = map
+    let mut pairs: Vec<(Vec<u8>, (&K, &V))> = map
         .iter()
-        .map(|(k, v)| (format!("{:?}", k.to_value()), (k, v)))
+        .map(|(k, v)| {
+            let mut key = Vec::new();
+            k.write_json(&mut key);
+            (key, (k, v))
+        })
         .collect();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     pairs.into_iter().map(|(_, kv)| kv).collect()
@@ -889,96 +706,84 @@ fn read_pairs<'de, R: Reader<'de>, K: Deserialize, V: Deserialize, M>(
     Ok(map)
 }
 
-/// Shared `[[k, v], ...]` decoding for both map types.
-fn map_pairs<'v, K: Deserialize, V: Deserialize>(
-    value: &'v Value,
-) -> Result<impl Iterator<Item = Result<(K, V), DeError>> + 'v, DeError> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| DeError::expected("array of pairs", "map"))?;
-    Ok(items.iter().map(|item| {
-        let pair = item
-            .as_arr()
-            .ok_or_else(|| DeError::expected("[key, value] pair", "map"))?;
-        if pair.len() != 2 {
-            return Err(DeError::expected("[key, value] pair", "map"));
-        }
-        Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(v: &T) -> String {
+        let mut out = Vec::new();
+        v.write_json(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn json_read<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut reader = json::JsonReader::new(text);
+        let v = T::read_from(&mut reader)?;
+        reader.expect_end()?;
+        Ok(v)
+    }
+
+    fn binary_read<T: Deserialize>(bytes: &[u8]) -> Result<T, DeError> {
+        let mut reader = binary::BinReader::new(bytes);
+        let v = T::read_from(&mut reader)?;
+        reader.expect_end()?;
+        Ok(v)
+    }
+
+    /// Every built-in impl decodes what it encodes, in both codecs.
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u32::from_value(&42u32.to_value()), Ok(42));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
-            Ok("hi".into())
-        );
-        assert_eq!(Option::<u8>::from_value(&Value::Null), Ok(None));
-        assert_eq!(
-            <(u8, String)>::from_value(&(3u8, "x".to_string()).to_value()),
-            Ok((3, "x".into()))
-        );
+        fn check<T: Serialize + Deserialize + PartialEq + fmt::Debug>(v: T) {
+            assert_eq!(json_read::<T>(&json(&v)).as_ref(), Ok(&v));
+            let mut bytes = Vec::new();
+            v.write_binary(&mut bytes);
+            assert_eq!(binary_read::<T>(&bytes).as_ref(), Ok(&v));
+        }
+        check(42u32);
+        check(-7i64);
+        check(1.5f64);
+        check(f64::INFINITY);
+        check(true);
+        check('π');
+        check("a\"b\\c\n".to_string());
+        check(Option::<u8>::None);
+        check(Some(3u8));
+        check(Vec::<u8>::new());
+        check(vec![1u8, 2, 3]);
+        check((1u8, "two".to_string(), 3.0f64));
+        let mut bt = BTreeMap::new();
+        bt.insert("k".to_string(), vec![1u32]);
+        check(bt);
+        let mut hm = HashMap::new();
+        hm.insert("b".to_string(), 2u32);
+        hm.insert("a".to_string(), 1u32);
+        check(hm);
+        check(Value::Obj(vec![
+            ("a".into(), Value::Arr(vec![Value::Num(1.0), Value::Null])),
+            ("b".into(), Value::Bool(false)),
+        ]));
     }
 
     #[test]
     fn maps_encode_as_pairs() {
-        let mut m = BTreeMap::new();
-        m.insert(2u32, "b".to_string());
-        m.insert(1u32, "a".to_string());
-        let v = m.to_value();
-        assert_eq!(BTreeMap::<u32, String>::from_value(&v), Ok(m));
-    }
-
-    /// Every built-in impl must emit the same bytes from its streaming
-    /// writer as the `Value`-tree fallback, both codecs.
-    #[test]
-    fn streaming_writers_match_the_value_path() {
-        fn check<T: Serialize>(v: &T) {
-            let (mut js, mut jv, mut bs, mut bv) = (vec![], vec![], vec![], vec![]);
-            v.write_json(&mut js);
-            json::write_value(&v.to_value(), &mut jv);
-            assert_eq!(js, jv);
-            v.write_binary(&mut bs);
-            binary::write_value(&v.to_value(), &mut bv);
-            assert_eq!(bs, bv);
-        }
-        check(&42u32);
-        check(&-7i64);
-        check(&1.5f64);
-        check(&f64::NAN);
-        check(&true);
-        check(&'π');
-        check(&"a\"b\\c\n".to_string());
-        check(&Option::<u8>::None);
-        check(&Some(3u8));
-        check(&Vec::<u8>::new());
-        check(&vec![1u8, 2, 3]);
-        check(&(1u8, "two".to_string(), 3.0f64));
         let mut bt = BTreeMap::new();
-        bt.insert("k".to_string(), vec![1u32]);
-        check(&bt);
-        let mut hm = HashMap::new();
-        hm.insert("b".to_string(), 2u32);
-        hm.insert("a".to_string(), 1u32);
-        check(&hm);
+        bt.insert(2u32, "b".to_string());
+        bt.insert(1u32, "a".to_string());
+        assert_eq!(json(&bt), r#"[[1,"a"],[2,"b"]]"#);
+        // HashMap pairs sort by the key's JSON text: `"a"` < `"ab"` <
+        // `"b"`, and `10` < `9` (text order, not numeric).
+        let hm: HashMap<String, u8> = [("b", 1), ("ab", 2), ("a", 3)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        assert_eq!(json(&hm), r#"[["a",3],["ab",2],["b",1]]"#);
+        let hm: HashMap<u32, u8> = [(9, 0), (10, 1), (1, 2)].into_iter().collect();
+        assert_eq!(json(&hm), "[[1,2],[10,1],[9,0]]");
     }
 
-    /// The streaming readers must accept everything the `Value` path
-    /// accepts, including the f64 NaN/inf leniency.
+    /// The readers' leniencies and shape checks.
     #[test]
-    fn streaming_readers_match_the_value_path() {
-        fn json_read<T: Deserialize>(text: &str) -> Result<T, DeError> {
-            let mut reader = json::JsonReader::new(text);
-            let v = T::read_from(&mut reader)?;
-            reader.expect_end()?;
-            Ok(v)
-        }
+    fn readers_accept_markers_and_reject_bad_shapes() {
         assert_eq!(json_read::<u32>("42"), Ok(42));
         assert!(json_read::<u32>("1.5").is_err());
         assert!(json_read::<f64>("null").unwrap().is_nan());
@@ -993,5 +798,36 @@ mod tests {
         let m: HashMap<String, u32> = json_read("[[\"a\",1],[\"b\",2]]").unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m["b"], 2);
+    }
+
+    /// Integers decode only inside the target type's range, from either
+    /// codec — never clamped by the `as` cast.
+    #[test]
+    fn out_of_range_integers_are_rejected() {
+        fn check<T: Deserialize + PartialEq + fmt::Debug>(text: &str, expect: Option<T>) {
+            let mut bytes = Vec::new();
+            binary::write_f64(text.parse().unwrap(), &mut bytes);
+            for result in [json_read::<T>(text), binary_read::<T>(&bytes)] {
+                match &expect {
+                    Some(v) => assert_eq!(result.as_ref(), Ok(v), "{text}"),
+                    None => assert!(result.unwrap_err().0.contains("out of range"), "{text}"),
+                }
+            }
+        }
+        check::<usize>("-1", None);
+        check::<u64>("18446744073709551616", None);
+        // The largest double below 2^64 still fits a u64.
+        check::<u64>("18446744073709549568", Some(18_446_744_073_709_549_568));
+        check::<u8>("256", None);
+        check::<u8>("300", None);
+        check::<u8>("255", Some(255));
+        check::<u8>("0", Some(0));
+        check::<i8>("-129", None);
+        check::<i8>("-128", Some(-128));
+        check::<i32>("2147483648", None);
+        check::<i32>("2147483647", Some(i32::MAX));
+        check::<i64>("9223372036854775808", None);
+        check::<i64>("-9223372036854775808", Some(i64::MIN));
+        assert!(json_read::<u32>("\"inf\"").is_err());
     }
 }

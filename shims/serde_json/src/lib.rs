@@ -6,11 +6,14 @@
 //! markers for non-finite floats, surrogate-pair handling) lives in
 //! [`serde::json`]; this crate is a thin shell over it. Encoding
 //! streams through [`serde::Serialize::write_json`] and decoding
-//! through [`serde::json::JsonReader`], so neither direction
-//! materialises an intermediate [`Value`] for types with streaming
-//! impls, and parsing inherits the reader's [`serde::MAX_DEPTH`]
-//! nesting cap — a 100k-deep `[[[[…` body is a parse error, not a
-//! stack overflow.
+//! through [`serde::json::JsonReader`] into
+//! [`serde::Deserialize::read_from`]. Parsing inherits the reader's
+//! [`serde::MAX_DEPTH`] nesting cap — a 100k-deep `[[[[…` body is a
+//! parse error, not a stack overflow.
+//!
+//! [`to_string_pretty`] is the one place a tree is built: it encodes
+//! compact JSON, parses that into a [`Value`] and indents the tree.
+//! Pretty output is for humans (golden files, CLI dumps), not the wire.
 
 use serde::json::JsonReader;
 use serde::{Deserialize, Serialize, Value};
@@ -45,20 +48,21 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(String::from_utf8(out).expect("write_json emits UTF-8"))
 }
 
-/// Serialises `value` as 2-space-indented JSON.
+/// Serialises `value` as 2-space-indented JSON: the compact encoding,
+/// re-parsed into a [`Value`] and indented.
 ///
 /// # Errors
 ///
-/// Infallible in this shim; the `Result` mirrors the real API.
+/// Fails only if `value` nests deeper than [`serde::MAX_DEPTH`].
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let tree = parse_value_str(&to_string(value)?)?;
     let mut out = Vec::new();
-    write_pretty(&value.to_value(), &mut out, 0);
+    write_pretty(&tree, &mut out, 0);
     Ok(String::from_utf8(out).expect("write_pretty emits UTF-8"))
 }
 
 /// Parses JSON text into any shim-`Deserialize` type, streaming straight
-/// into the type (no intermediate [`Value`] for types with `read_from`
-/// impls).
+/// into the type.
 ///
 /// # Errors
 ///
@@ -80,11 +84,9 @@ pub fn parse_value_str(text: &str) -> Result<Value, Error> {
     from_str(text)
 }
 
-/// 2-space-indented rendering of a [`Value`] tree. Stays tree-based —
-/// pretty output is for humans (golden files, CLI dumps), not the wire —
-/// but shares the escape/number formatters with the compact path.
-/// Depth is bounded by the tree that produced it, which decoding caps
-/// at [`serde::MAX_DEPTH`].
+/// 2-space-indented rendering of a [`Value`] tree, sharing the
+/// escape/number formatters with the compact path. Depth is bounded by
+/// the tree, which decoding caps at [`serde::MAX_DEPTH`].
 fn write_pretty(v: &Value, out: &mut Vec<u8>, depth: usize) {
     let pad = |out: &mut Vec<u8>, depth: usize| {
         out.push(b'\n');

@@ -41,7 +41,7 @@
 use abbd::core::{Observation, SessionRequest};
 use abbd::designs::regulator::{self, cases::case_studies};
 use abbd::scenarios::sample_model_population;
-use abbd::server::{codec, Client, OpenSessionReply, StatsReport};
+use abbd::server::{codec, BatchHeader, BatchRequest, Client, OpenSessionReply, StatsReport};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -351,7 +351,7 @@ fn run_client(args: &Args, conns_here: usize) -> Result<ClientTally, String> {
             let observations: Vec<Observation> = (0..args.batch_size)
                 .map(|j| bodies[j % bodies.len()].clone())
                 .collect();
-            let body = serde_json::to_string(&abbd::server::BatchRequest {
+            let body = serde_json::to_string(&BatchRequest {
                 observations: observations.clone(),
                 deduction: None,
             })
@@ -359,7 +359,7 @@ fn run_client(args: &Args, conns_here: usize) -> Result<ClientTally, String> {
             // Binary batch: one header frame, then one frame per row,
             // each streamed straight into the shared body buffer.
             let mut frame = Vec::new();
-            codec::frame_into(&BatchHeader, &mut frame);
+            codec::frame_into(&BatchHeader::default(), &mut frame);
             for obs in &observations {
                 codec::frame_into(obs, &mut frame);
             }
@@ -383,15 +383,6 @@ fn run_client(args: &Args, conns_here: usize) -> Result<ClientTally, String> {
             }
             Ok((completed, rejected, latencies))
         }
-    }
-}
-
-/// The header frame of a binary batch request (`{"deduction": null}`).
-struct BatchHeader;
-
-impl serde::Serialize for BatchHeader {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![("deduction".to_string(), serde::Value::Null)])
     }
 }
 

@@ -409,7 +409,9 @@ fn pin_wire<T: serde::Serialize + serde::Deserialize>(
 #[test]
 fn wire_fixtures_are_byte_stable() {
     use abbd::core::{Observation, SessionRequest};
-    use abbd::server::{codec, BatchEntry, Client, ModelRegistry, Server, ServerConfig};
+    use abbd::server::{
+        codec, BatchEntry, BatchHeader, Client, ModelRegistry, Server, ServerConfig,
+    };
 
     let corpus = corpus();
     let engine = engine();
@@ -459,10 +461,7 @@ fn wire_fixtures_are_byte_stable() {
     unknown.set("no_such_variable", 0);
     rows.push(unknown);
     let mut body = Vec::new();
-    codec::frame_into(
-        &serde::Value::Obj(vec![("deduction".to_string(), serde::Value::Null)]),
-        &mut body,
-    );
+    codec::frame_into(&BatchHeader::default(), &mut body);
     for row in &rows {
         codec::frame_into(row, &mut body);
     }
