@@ -2396,6 +2396,47 @@ mod tests {
         assert!(matches!(err, Err(Error::Oracle { .. })));
     }
 
+    /// Applying every test one after another lands on exactly the
+    /// diagnosis of the one-shot engine fed the full observation.
+    #[test]
+    fn exhaustive_run_reproduces_one_shot_diagnosis() {
+        let eng = crate::fixtures::toy_sequential_engine();
+        let mut s = DiagnosisSession::new(Arc::clone(eng.compiled()), StoppingPolicy::exhaustive())
+            .unwrap();
+        s.observe("pin", 1).unwrap();
+        let outcome = s.run(dead_bias).unwrap();
+        assert_eq!(outcome.stop, StopReason::Exhausted);
+        assert_eq!(outcome.tests_used(), 3);
+
+        let mut full = Observation::new();
+        full.set("pin", 1)
+            .set("out1", 0)
+            .set("out2", 0)
+            .set("out3", 1);
+        full.mark_failing("out1").mark_failing("out2");
+        let one_shot = eng.diagnose(&full).unwrap();
+        assert_eq!(outcome.diagnosis.posteriors(), one_shot.posteriors());
+        assert_eq!(outcome.diagnosis.fault_mass(), one_shot.fault_mass());
+        assert_eq!(outcome.diagnosis.top_candidate(), one_shot.top_candidate());
+    }
+
+    /// The steady-state decision loop never compiles a junction tree.
+    #[test]
+    fn steady_state_performs_zero_compilations() {
+        let mut s =
+            DiagnosisSession::new(toy_compiled_model(), StoppingPolicy::exhaustive()).unwrap();
+        s.observe("pin", 1).unwrap();
+        s.rank_actions().unwrap(); // warm-up
+        let before = abbd_bbn::jointree_compile_count();
+        let outcome = s.run(dead_bias).unwrap();
+        assert_eq!(outcome.stop, StopReason::Exhausted);
+        assert_eq!(
+            abbd_bbn::jointree_compile_count(),
+            before,
+            "sequential decisions must reuse the compiled tree"
+        );
+    }
+
     #[test]
     fn seeding_from_observation_preserves_failing_marks() {
         let mut seed = Observation::new();
@@ -2617,5 +2658,22 @@ mod tests {
             assert!(w[0].expected_information_gain() >= w[1].expected_information_gain());
         }
         assert!(ranked.iter().all(|c| c.expected_information_gain() >= 0.0));
+    }
+
+    #[test]
+    fn rank_actions_never_recompiles_the_tree() {
+        let mut s = hypotheses_session();
+        s.observe("symptom", 0).unwrap();
+        s.observe("other", 1).unwrap();
+        s.rank_actions().unwrap(); // warm-up outside the window
+        let before = abbd_bbn::jointree_compile_count();
+        for _ in 0..3 {
+            s.rank_actions().unwrap();
+        }
+        assert_eq!(
+            abbd_bbn::jointree_compile_count(),
+            before,
+            "rank_actions compiled a junction tree per call"
+        );
     }
 }

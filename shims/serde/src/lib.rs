@@ -764,6 +764,41 @@ mod tests {
         ]));
     }
 
+    /// Every built-in impl must emit the same bytes from its streaming
+    /// writer as the `Value` document decoded from its binary encoding
+    /// writes back, both codecs.
+    #[test]
+    fn streaming_writers_match_the_value_path() {
+        fn check<T: Serialize>(v: &T) {
+            let mut bs = Vec::new();
+            v.write_binary(&mut bs);
+            let value = binary_read::<Value>(&bs).unwrap();
+            let mut bv = Vec::new();
+            value.write_binary(&mut bv);
+            assert_eq!(bs, bv);
+            assert_eq!(json(v), json(&value));
+        }
+        check(&42u32);
+        check(&-7i64);
+        check(&1.5f64);
+        check(&f64::NAN);
+        check(&true);
+        check(&'π');
+        check(&"a\"b\\c\n".to_string());
+        check(&Option::<u8>::None);
+        check(&Some(3u8));
+        check(&Vec::<u8>::new());
+        check(&vec![1u8, 2, 3]);
+        check(&(1u8, "two".to_string(), 3.0f64));
+        let mut bt = BTreeMap::new();
+        bt.insert("k".to_string(), vec![1u32]);
+        check(&bt);
+        let mut hm = HashMap::new();
+        hm.insert("b".to_string(), 2u32);
+        hm.insert("a".to_string(), 1u32);
+        check(&hm);
+    }
+
     #[test]
     fn maps_encode_as_pairs() {
         let mut bt = BTreeMap::new();
